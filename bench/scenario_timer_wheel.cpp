@@ -16,9 +16,11 @@
 //    owes nothing. Host-dependent.
 //  * dispatch/...  — arm `--timers` deadlines spread over a 2 s window,
 //    drain via next_time() stepping, and report dispatch jitter = pop
-//    instant − effective deadline. For the heap this is identically 0; for
-//    the wheel it is the ceil-quantization lateness, bounded by one tick
-//    (1024 µs). Deterministic for a given seed, so CI gates on it.
+//    instant − effective deadline. Both stores fire on the deadline, so it
+//    is identically 0; a wheel that rounded deadlines up to its 1024 µs
+//    tick read up to one tick here. Deterministic for a given seed, so CI
+//    gates on it. The wheel's next_time() steps through every distinct
+//    deadline, so the drain rate also prices its lazily sorted slot.
 //  * deterministic/wheel — a seeded schedule/cancel/advance workload in
 //    virtual time whose fired/cancelled/cascade counters are bit-stable;
 //    the CI benchdiff gate that catches accidental wheel behavior changes.
@@ -271,7 +273,7 @@ int main(int argc, char** argv) {
   std::printf("%-28s %.1fx\n", "wheel-vs-heap speedup", wheel_ops / heap_ops);
 
   print_header("E10b: full-speed drain of a 2s deadline spread",
-               "jitter is deterministic ceil-quantization lateness");
+               "jitter = pop instant - deadline; 0 = fires on the deadline");
   report.runs.push_back(dispatch_heap(timers, seed));
   report.runs.push_back(dispatch_wheel(timers, seed));
 

@@ -358,7 +358,7 @@ std::vector<const Proposal*> DeliveryEngine::unordered_proposals(
       continue;
     }
     if (proposer_blocked) continue;  // FIFO: held behind a gap
-    if (s.proposal.fifo_floor > expected) {
+    if (s.proposal.fifo_floor >= expected) {
       // The proposer's own declaration: its current incarnation never
       // proposes below this floor (a restart jumped the sequence to the
       // durable reservation base). Sequences in [expected, floor) can
@@ -366,7 +366,10 @@ std::vector<const Proposal*> DeliveryEngine::unordered_proposals(
       // with gap_grace == max_age it is worse than futile, because a
       // gapped proposal is held while fresh and skipped as stale the
       // moment the grace expires: without this jump a recovered proposer
-      // would be wedged forever.
+      // would be wedged forever. A floor equal to the cursor counts as
+      // history too: a fresh durable proposer declares floor 0, and
+      // without it a reordered opening burst would skip the gap guard
+      // below, order sequence 1 first and forfeit sequence 0.
       expected = s.proposal.fifo_floor;
       has_history = true;
     }

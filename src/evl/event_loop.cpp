@@ -150,20 +150,43 @@ int EventLoop::dispatch_due_timers() {
   return dispatched;
 }
 
+namespace {
+
+/// poll(2) the set for up to `wait_us`. ppoll(2) sleeps to the µs, so a
+/// timer wakes the loop on its deadline; plain poll(2) takes whole
+/// milliseconds and is rounded up (late, never early) where ppoll is
+/// missing.
+int wait_for_fds(std::vector<pollfd>& fds, std::int64_t wait_us) {
+  const auto n = static_cast<nfds_t>(fds.size());
+#if defined(__linux__) || defined(__FreeBSD__) || defined(__OpenBSD__) || \
+    defined(__NetBSD__)
+  timespec ts{};
+  ts.tv_sec = static_cast<time_t>(wait_us / 1000000);
+  ts.tv_nsec = static_cast<long>(wait_us % 1000000) * 1000;
+  return ::ppoll(fds.data(), n, &ts, nullptr);
+#else
+  return ::poll(fds.data(), n, static_cast<int>((wait_us + 999) / 1000));
+#endif
+}
+
+}  // namespace
+
 int EventLoop::poll_once(sim::Duration max_wait_us) {
   int dispatched_posted = dispatch_posted();
   if (dispatched_posted > 0) max_wait_us = 0;  // don't sleep with work done
-  // Bound the wait by the nearest timer (for a wheel-parked timer this is
-  // its next cascade boundary — a lower bound; waking there re-bounds).
+  // Bound the wait by the nearest timer: its exact deadline, or for a timer
+  // parked above level 0 a lower bound just before its cascade (waking
+  // there re-bounds).
   std::int64_t wait_us = std::max<std::int64_t>(max_wait_us, 0);
   const std::int64_t next_timer = timers_.next_time();
   if (next_timer != sim::kNever) {
     const std::int64_t until = next_timer - mono_now_us();
     wait_us = std::clamp<std::int64_t>(until, 0, wait_us);
   }
-  // Cap the single-poll sleep: keeps the ms conversion below from
-  // overflowing for far-future waits, and bounds how stale the timer
-  // re-bound can get. Waking early is a spurious (harmless) wakeup.
+  // Cap the single-poll sleep: keeps the ms conversion of the poll(2)
+  // fallback from overflowing for far-future waits, and bounds how stale
+  // the timer re-bound can get. Waking early is a spurious (harmless)
+  // wakeup.
   wait_us = std::min<std::int64_t>(
       wait_us, std::int64_t{kMaxPollTimeoutMs} * 1000);
 
@@ -178,8 +201,7 @@ int EventLoop::poll_once(sim::Duration max_wait_us) {
   std::int64_t remaining_us = wait_us;
   int rc;
   for (;;) {
-    const int timeout_ms = static_cast<int>((remaining_us + 999) / 1000);
-    rc = ::poll(fds.data(), static_cast<nfds_t>(fds.size()), timeout_ms);
+    rc = wait_for_fds(fds, remaining_us);
     if (rc >= 0) break;
     if (errno == EINTR) {
       // A signal (profiler, SIGCHLD, ...) interrupted the wait. Retry for

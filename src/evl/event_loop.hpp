@@ -7,14 +7,15 @@
 //  [...] is required. The event handler is implemented by a single thread of
 //  control."
 //
-// This EventLoop demultiplexes readable file descriptors (via poll(2)) and
+// This EventLoop demultiplexes readable file descriptors (via ppoll(2)) and
 // timer expirations into user callbacks, all on the calling thread. It backs
 // the real UDP transport and the thread-vs-event benchmark (experiment E6).
 //
 // Timers are stored in a hierarchical TimerWheel (evl/timer_wheel.hpp):
-// O(1) arm/cancel/re-arm under the protocol's arm-mostly-cancel churn, at
-// the price of quantizing deadlines up to the wheel's ~1 ms tick. The
-// discrete-event simulator keeps the exact-timestamp sim::EventQueue.
+// O(1) arm/cancel/re-arm under the protocol's arm-mostly-cancel churn, and
+// each timer fires at its µs deadline: the loop sleeps in ppoll(2) until
+// the wheel's exact next deadline (whole-ms poll(2), rounded up, where
+// ppoll is missing). The discrete-event simulator keeps sim::EventQueue.
 //
 // Cross-thread post() is wired to a wakeup descriptor (eventfd, with a
 // self-pipe fallback) that is part of the poll set, so a posted callback
@@ -42,7 +43,7 @@ class EventLoop {
   /// always-due re-arm chain from starving fd dispatch.
   static constexpr int kMaxTimerDispatchPerPoll = 256;
 
-  /// poll(2) timeout ceiling. Bounds the int conversion for far-future
+  /// Single-wait timeout ceiling. Bounds the int conversion for far-future
   /// timers (a µs wait near INT64_MAX used to overflow the ms cast into a
   /// negative timeout, i.e. poll-forever); waking once a minute to re-bound
   /// the wait costs nothing.

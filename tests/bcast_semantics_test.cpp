@@ -112,6 +112,46 @@ INSTANTIATE_TEST_SUITE_P(All, SemanticsMatrix, ::testing::ValuesIn(matrix()),
 // by NOBODY, and its FIFO successors cascade.
 // ---------------------------------------------------------------------------
 
+// ---------------------------------------------------------------------------
+// FIFO from the very first proposal: a fresh durable proposer starts at
+// sequence 0 and declares fifo_floor 0. Its opening burst reordered in
+// flight must not let sequence 1 be ordered first (which forfeits 0).
+// ---------------------------------------------------------------------------
+
+TEST(FifoOpening, FreshDurableProposerReorderedOpeningDeliversInOrder) {
+  for (ProcessId proposer = 0; proposer < 5; ++proposer) {
+    SimHarness h(cfg_n(5, 21 + proposer));
+    ASSERT_TRUE(h.durable());
+    form(h);
+    h.run_for(sim::msec(200));
+    util::ProcessSet others = util::ProcessSet::full(5);
+    others.erase(proposer);
+    // Sequence 0's datagram reaches every other member 8 ms late, well
+    // inside the deciders' gap grace; sequence 1 goes out 1 ms after it
+    // and arrives first.
+    h.cluster().network().arm_delay(proposer,
+                                    net::kind_byte(net::MsgKind::proposal),
+                                    others, 4, sim::msec(8));
+    h.propose(proposer, 900, bcast::Order::total);
+    h.run_for(sim::msec(1));
+    h.propose(proposer, 901, bcast::Order::total);
+    h.run_for(sim::sec(2));
+    for (ProcessId p = 0; p < 5; ++p) {
+      std::vector<std::uint64_t> tags;
+      for (const auto& rec : h.delivered(p)) {
+        if (rec.pid.proposer != proposer) continue;
+        tags.push_back(SimHarness::payload_tag(rec.payload));
+        EXPECT_EQ(rec.pid.seq, tags.size() - 1)
+            << "p" << p << " got proposer " << proposer << "'s seq "
+            << rec.pid.seq << " out of order";
+      }
+      EXPECT_EQ(tags, (std::vector<std::uint64_t>{900, 901}))
+          << "p" << p << ", proposer " << proposer;
+    }
+    EXPECT_TRUE(h.check_all_invariants().empty());
+  }
+}
+
 TEST(Undeliverable, LostProposalOfDepartedMemberDeliveredByNobody) {
   SimHarness h(cfg_n(5, 13));
   form(h);

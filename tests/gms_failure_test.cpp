@@ -3,8 +3,13 @@
 // (paper §4.2).
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <map>
+#include <set>
+
 #include "gms/sim_harness.hpp"
 #include "net/msg_kind.hpp"
+#include "sim/random.hpp"
 
 namespace tw::gms {
 namespace {
@@ -311,6 +316,95 @@ TEST(GmsFailure, RepeatedCrashRecoverCycles) {
         << "round " << round;
   }
   EXPECT_TRUE(h.check_all_invariants().empty());
+}
+
+// ---------------------------------------------------------------------------
+// Whole-team stalls: every member stalled at once, as a SIGSTOP of the one
+// process that hosts a UDP team does, while an open loop keeps proposals
+// in flight. A member's raw delivery stream is gapless unless the stall
+// got it excluded; then it rejoins, a state transfer re-baselines it, and
+// the updates ordered meanwhile reach it inside the transferred state, not
+// as deliveries.
+// ---------------------------------------------------------------------------
+
+struct TeamStallRun {
+  std::size_t accepted = 0;
+  std::size_t extra_views = 0;  ///< view installs past the first, all members
+  /// (member, proposer, seq): an accepted proposal the member did not
+  /// deliver although it delivered a later one of that proposer.
+  std::vector<std::string> stream_gaps;
+  /// The subset of stream_gaps that the member's lineage does not hold.
+  std::vector<std::string> lineage_gaps;
+  std::vector<std::string> violations;  ///< majority-agreement checks
+};
+
+/// 3 members, Poisson proposals at 300/s round-robin for `load`, and every
+/// member stalled for `stall` every 2 s.
+TeamStallRun run_team_stalls(std::uint64_t seed, sim::Duration stall,
+                             sim::Duration load) {
+  constexpr int kN = 3;
+  SimHarness h(cfg_n(kN, seed));
+  const sim::SimTime t0 = form_group(h);
+  for (sim::SimTime t = t0 + sim::sec(2); t < t0 + load; t += sim::sec(2))
+    for (ProcessId p = 0; p < kN; ++p) h.faults().stall_at(t, p, stall);
+  sim::Rng rng(seed * 7919);
+  std::map<ProcessId, std::vector<ProposalSeq>> accepted;
+  TeamStallRun run;
+  sim::SimTime t = t0;
+  for (std::uint64_t k = 0;; ++k) {
+    t += static_cast<sim::Duration>(
+        -std::log(1.0 - rng.uniform_real(0.0, 1.0)) * 1e6 / 300.0);
+    if (t >= t0 + load) break;
+    h.run_until(t);
+    const auto proposer = static_cast<ProcessId>(k % kN);
+    const ProposeResult r = h.try_propose(proposer, k);
+    if (!r.accepted) continue;
+    accepted[proposer].push_back(r.seq);
+    ++run.accepted;
+  }
+  h.run_for(sim::sec(3));
+  for (ProcessId m = 0; m < kN; ++m) {
+    run.extra_views += h.views(m).size() - 1;
+    std::map<ProcessId, std::set<ProposalSeq>> delivered, lineage;
+    for (const auto& rec : h.delivered(m))
+      delivered[rec.pid.proposer].insert(rec.pid.seq);
+    for (const auto& e : h.lineage(m)) lineage[e.pid.proposer].insert(e.pid.seq);
+    for (const auto& [q, seqs] : accepted) {
+      if (delivered[q].empty()) continue;
+      const ProposalSeq top = *delivered[q].rbegin();
+      for (const ProposalSeq seq : seqs) {
+        if (seq > top || delivered[q].count(seq) != 0) continue;
+        const std::string id = "m" + std::to_string(m) + " " +
+                               std::to_string(q) + "." + std::to_string(seq);
+        run.stream_gaps.push_back(id);
+        if (lineage[q].count(seq) == 0) run.lineage_gaps.push_back(id);
+      }
+    }
+  }
+  run.violations = h.check_majority_agreement_invariants(h.node(0).group());
+  return run;
+}
+
+TEST(GmsFailure, TeamStallWithinDetectionKeepsEveryStreamGapless) {
+  // 40 ms is past σ but inside the detection timeout: nobody is excluded,
+  // and every accepted proposal reaches every member, in FIFO order.
+  const TeamStallRun run = run_team_stalls(3, sim::msec(40), sim::sec(7));
+  EXPECT_GT(run.accepted, 1500u);
+  EXPECT_EQ(run.extra_views, 0u);
+  EXPECT_TRUE(run.stream_gaps.empty()) << run.stream_gaps.front();
+  EXPECT_TRUE(run.violations.empty()) << run.violations.front();
+}
+
+TEST(GmsFailure, TeamStallPastDetectionGapsOnlyWhereATransferCovers) {
+  // 60 ms outlasts detection: members are excluded and rejoin. The stream
+  // gap reproduces (a checker that follows deliveries alone reports it),
+  // and every gap is an update the rejoiner received inside its state
+  // transfer.
+  const TeamStallRun run = run_team_stalls(3, sim::msec(60), sim::sec(7));
+  EXPECT_GT(run.extra_views, 0u);
+  EXPECT_FALSE(run.stream_gaps.empty());
+  EXPECT_TRUE(run.lineage_gaps.empty()) << run.lineage_gaps.front();
+  EXPECT_TRUE(run.violations.empty()) << run.violations.front();
 }
 
 }  // namespace
