@@ -90,8 +90,7 @@ bool run_load(const OverloadKnobs& k, BenchRun& out, OverloadResult& res) {
   for (int i = 0; i < total; ++i) {
     const sim::SimTime at = start + static_cast<sim::SimTime>(i + 1) * gap;
     sim.at(at, [&h, &sent, &refused, &accepted, i, at] {
-      const gms::ProposeResult r =
-          h.try_propose(0, static_cast<std::uint64_t>(i));
+      const gms::ProposeResult r = h.propose(0, static_cast<std::uint64_t>(i));
       if (!r.accepted) {
         ++refused;
         return;

@@ -112,8 +112,7 @@ std::vector<std::byte> encode_proposal_batch(
 
 std::vector<Proposal> decode_proposal_batch(util::ByteReader& r) {
   const std::uint64_t n = r.var_u64();
-  if (n == 0) throw util::DecodeError("empty proposal batch");
-  if (n > 4096) throw util::DecodeError("proposal batch too large");
+  if (n == 0 || n > kMaxProposalBatch) throw util::DecodeError("batch size");
   std::vector<Proposal> out;
   out.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i)

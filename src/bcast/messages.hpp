@@ -47,6 +47,10 @@ Proposal decode_proposal(util::ByteReader& r);
 void encode_proposal_body(util::ByteWriter& w, const Proposal& p);
 Proposal decode_proposal_body(util::ByteReader& r);
 
+/// Most proposals one proposal_batch datagram may carry: the decoder
+/// rejects larger batches, so every sender chunks to it.
+inline constexpr int kMaxProposalBatch = 4096;
+
 /// Coalesce several proposals into one datagram. A batch of exactly one is
 /// emitted as a plain `proposal` message, so batch-of-1 is wire-identical
 /// to the unbatched protocol.

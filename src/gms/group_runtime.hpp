@@ -48,8 +48,6 @@ struct GroupRuntimeConfig {
   /// proposal is delivered back, so a stalled group hits its cap and
   /// starts refusing instead of buffering without bound.
   std::size_t group_budget_bytes = 0;
-  /// Virtual nodes per group on the routing ring.
-  int router_vnodes = 64;
 };
 
 class GroupRuntime;

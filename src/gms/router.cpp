@@ -8,6 +8,10 @@ namespace tw::gms {
 
 namespace {
 
+// Virtual nodes per group on the ring: enough for a flat distribution;
+// each one costs memory and a log factor on add/remove.
+constexpr int kVnodes = 64;
+
 // splitmix64 finalizer: platform-independent, full-avalanche. The router
 // depends on every process computing identical ring points and key hashes.
 std::uint64_t mix64(std::uint64_t x) {
@@ -25,16 +29,12 @@ std::uint64_t point_hash(net::GroupTag tag, int replica) {
 
 }  // namespace
 
-ConsistentHashRouter::ConsistentHashRouter(int vnodes) : vnodes_(vnodes) {
-  TW_ASSERT(vnodes >= 1);
-}
-
 void ConsistentHashRouter::add_group(net::GroupTag tag) {
   if (std::any_of(ring_.begin(), ring_.end(),
                   [tag](const Point& p) { return p.tag == tag; }))
     return;
-  ring_.reserve(ring_.size() + static_cast<std::size_t>(vnodes_));
-  for (int r = 0; r < vnodes_; ++r)
+  ring_.reserve(ring_.size() + static_cast<std::size_t>(kVnodes));
+  for (int r = 0; r < kVnodes; ++r)
     ring_.push_back(Point{point_hash(tag, r), tag});
   std::sort(ring_.begin(), ring_.end(),
             [](const Point& a, const Point& b) {

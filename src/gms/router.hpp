@@ -1,9 +1,10 @@
 // Consistent-hash router: client keys → hosted groups.
 //
 // The multi-group runtime shards a keyspace across its groups. Routing is
-// a classic consistent-hash ring: every group owns `vnodes` pseudo-random
-// points on a 64-bit ring, and a key routes to the group owning the first
-// point at or after hash(key). Two properties matter here:
+// a classic consistent-hash ring: every group owns 64 pseudo-random
+// points (virtual nodes) on a 64-bit ring, and a key routes to the group
+// owning the first point at or after hash(key). Two properties matter
+// here:
 //
 //   distribution — with enough virtual nodes, each of G groups owns
 //     ~1/G of the keyspace (the runtime bench's zipf traffic then skews
@@ -26,10 +27,6 @@ namespace tw::gms {
 
 class ConsistentHashRouter {
  public:
-  /// `vnodes` points per group on the ring. More vnodes → flatter
-  /// distribution, linearly more memory and a log factor on add/remove.
-  explicit ConsistentHashRouter(int vnodes = 64);
-
   /// Idempotent; re-adding an existing tag is a no-op.
   void add_group(net::GroupTag tag);
   /// Removing an absent tag is a no-op.
@@ -51,7 +48,6 @@ class ConsistentHashRouter {
     net::GroupTag tag;
   };
 
-  int vnodes_;
   std::size_t groups_ = 0;
   std::vector<Point> ring_;  ///< sorted by hash
 };

@@ -38,7 +38,6 @@ RuntimeHarness::RuntimeHarness(RuntimeHarnessConfig cfg)
 
   GroupRuntimeConfig rc;
   rc.group_budget_bytes = cfg_.group_budget_bytes;
-  rc.router_vnodes = cfg_.router_vnodes;
   for (ProcessId p = 0; p < static_cast<ProcessId>(cfg_.n); ++p) {
     runtimes_.push_back(
         std::make_unique<GroupRuntime>(cluster_.endpoint(p), rc));

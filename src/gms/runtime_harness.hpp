@@ -35,7 +35,6 @@ struct RuntimeHarnessConfig {
   /// the payload traffic G-fold otherwise).
   bool perfect_clocks = false;
   std::size_t group_budget_bytes = 0;  ///< per-group budget; 0 = unlimited
-  int router_vnodes = 64;
 };
 
 class RuntimeHarness {

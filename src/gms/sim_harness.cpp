@@ -178,16 +178,9 @@ util::ProcessSet SimHarness::run_until_any_stable_group(
   return {};
 }
 
-void SimHarness::propose(ProcessId p, std::uint64_t tag, bcast::Order order,
-                         bcast::Atomicity atomicity) {
-  util::ByteWriter w;
-  w.u64(tag);
-  nodes_.at(p)->propose(std::move(w).take(), order, atomicity);
-}
-
-ProposeResult SimHarness::try_propose(ProcessId p, std::uint64_t tag,
-                                      bcast::Order order,
-                                      bcast::Atomicity atomicity) {
+ProposeResult SimHarness::propose(ProcessId p, std::uint64_t tag,
+                                  bcast::Order order,
+                                  bcast::Atomicity atomicity) {
   util::ByteWriter w;
   w.u64(tag);
   return nodes_.at(p)->try_propose(std::move(w).take(), order, atomicity);

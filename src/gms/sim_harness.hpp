@@ -124,17 +124,12 @@ class SimHarness {
   util::ProcessSet run_until_any_stable_group(sim::SimTime deadline);
 
   /// Propose from p with the given semantics; payload is a small tagged
-  /// blob (tag echoed back in DeliveryRecord::payload[0..7]).
-  void propose(ProcessId p, std::uint64_t tag,
-               bcast::Order order = bcast::Order::total,
-               bcast::Atomicity atomicity = bcast::Atomicity::weak);
-
-  /// Like propose() but surfaces the node's admission verdict (refusal
-  /// with retry hint when NodeConfig::max_pending saturates).
-  ProposeResult try_propose(ProcessId p, std::uint64_t tag,
-                            bcast::Order order = bcast::Order::total,
-                            bcast::Atomicity atomicity =
-                                bcast::Atomicity::weak);
+  /// blob (tag echoed back in DeliveryRecord::payload[0..7]). Returns the
+  /// node's admission verdict (refusal with retry hint when
+  /// NodeConfig::max_pending saturates).
+  ProposeResult propose(ProcessId p, std::uint64_t tag,
+                        bcast::Order order = bcast::Order::total,
+                        bcast::Atomicity atomicity = bcast::Atomicity::weak);
 
   static std::uint64_t payload_tag(const std::vector<std::byte>& payload);
 

@@ -30,8 +30,7 @@ TimewheelNode::TimewheelNode(net::Endpoint& endpoint, NodeConfig cfg,
   TW_ASSERT_MSG(n_ >= 2 && n_ <= 64, "team size must be in [2, 64]");
   if (cfg_.detector == DetectorKind::adaptive) {
     detector_policy_ = std::make_unique<AdaptiveDetectorPolicy>(
-        n_, AdaptiveDetectorPolicy::Params{cfg_.fd_alpha, cfg_.fd_beta,
-                                           cfg_.fd_margin_k, cfg_.fd_warmup});
+        n_, AdaptiveDetectorPolicy::Params{});
     fd_.set_policy(detector_policy_.get());
   }
   if (!cfg_.occupancy_guard) delivery_.set_occupancy_guard(false);
@@ -266,10 +265,9 @@ void TimewheelNode::on_clock_sync_change(bool synchronized) {
   } else if (state_ == GcState::desync) {
     // "When p can synchronize its clock again, p applies to join the group
     // again" (paper §2).
-    set_state(GcState::join);
     installed_ = false;
     suspect_ = kNoProcess;
-    for (auto& j : join_infos_) j = JoinInfo{};
+    fall_back_to_join(/*drop_role=*/false);
     arm_slot_timer();
   }
 }
@@ -418,21 +416,13 @@ void TimewheelNode::on_housekeeping() {
     n_failure_since_ = -1;
   } else {
     if (n_failure_since_ < 0) n_failure_since_ = *now;
-    if (cfg_.join_fallback_cycles > 0 &&
-        *now - n_failure_since_ >
-            cfg_.join_fallback_cycles * slots_.cycle_len()) {
+    if (*now - n_failure_since_ > kJoinFallbackCycles * slots_.cycle_len()) {
       TW_INFO("p" << self()
                   << ": election stalled; falling back to join state");
-      set_state(GcState::join);
       installed_ = false;
       awaiting_exit_decisions_ = false;
-      i_am_decider_ = false;
-      suspect_ = kNoProcess;
-      fd_.clear_expectation();
-      cancel_timer(fd_timer_);
-      cancel_timer(decision_timer_);
       n_failure_since_ = -1;
-      for (auto& j : join_infos_) j = JoinInfo{};
+      fall_back_to_join(/*drop_role=*/true);
     }
   }
 }
@@ -456,9 +446,11 @@ void TimewheelNode::on_datagram(ProcessId from,
       case net::MsgKind::decision:
         handle_decision(from, bcast::Decision::decode(r));
         break;
-      case net::MsgKind::proposal:
-        handle_proposal(from, bcast::decode_proposal(r));
+      case net::MsgKind::proposal: {
+        const bcast::Proposal p = bcast::decode_proposal(r);
+        handle_proposal_batch(from, {&p, 1});
         break;
+      }
       case net::MsgKind::proposal_batch:
         handle_proposal_batch(from, bcast::decode_proposal_batch(r));
         break;
@@ -815,20 +807,23 @@ void TimewheelNode::handle_exclusion(const bcast::Decision& d, ProcessId from,
     if (exit_decisions_needed_.empty()) {
       awaiting_exit_decisions_ = false;
       n_failure_since_ = -1;
-      set_state(GcState::join);
-      for (auto& j : join_infos_) j = JoinInfo{};
+      fall_back_to_join(/*drop_role=*/false);
     }
     return;
   }
-  if (state_ != GcState::join) {
+  if (state_ != GcState::join) fall_back_to_join(/*drop_role=*/true);
+}
+
+void TimewheelNode::fall_back_to_join(bool drop_role) {
+  if (drop_role) {
     i_am_decider_ = false;
     suspect_ = kNoProcess;
     cancel_timer(decision_timer_);
     fd_.clear_expectation();
     cancel_timer(fd_timer_);
-    set_state(GcState::join);
-    for (auto& j : join_infos_) j = JoinInfo{};
   }
+  set_state(GcState::join);
+  for (auto& j : join_infos_) j = JoinInfo{};
 }
 
 void TimewheelNode::assume_decider_role(sim::ClockTime now) {
@@ -840,7 +835,7 @@ void TimewheelNode::assume_decider_role(sim::ClockTime now) {
   ep_.trace(TraceKind::decider_assumed, gid_, last_decision_no_ + 1);
   const bool prompt =
       decision_pending_work_ || !delivery_.missing().empty();
-  schedule_decision(prompt ? cfg_.proposal_batch_delay
+  schedule_decision(prompt ? kProposalBatchDelay
                            : cfg_.effective_decision_delay());
 }
 
@@ -872,9 +867,8 @@ void TimewheelNode::order_pending_proposals(bcast::Oal& oal,
   }
 }
 
-std::vector<ProcessId> TimewheelNode::try_integrate_joiners(
-    sim::ClockTime now) {
-  std::vector<ProcessId> added;
+util::ProcessSet TimewheelNode::try_integrate_joiners(sim::ClockTime now) {
+  util::ProcessSet added;
   const util::ProcessSet alive = fd_.alive_list(now);
   for (ProcessId j : alive.minus(group_)) {
     // "Let the current member q be the successor of p in the next group g
@@ -892,7 +886,7 @@ std::vector<ProcessId> TimewheelNode::try_integrate_joiners(
         break;
       }
     }
-    if (seen_by_all) added.push_back(j);
+    if (seen_by_all) added.insert(j);
   }
   return added;
 }
@@ -908,13 +902,9 @@ void TimewheelNode::send_decision(sim::ClockTime now) {
   bcast::Oal oal = delivery_.view(now);
 
   // Integrate joiners (a membership descriptor plus a state transfer).
-  const std::vector<ProcessId> joiners = try_integrate_joiners(now);
-  util::ProcessSet joiner_set;
+  const util::ProcessSet joiners = try_integrate_joiners(now);
   if (!joiners.empty()) {
-    for (ProcessId j : joiners) {
-      group_.insert(j);
-      joiner_set.insert(j);
-    }
+    group_ = group_.union_with(joiners);
     gid_ = next_gid(now);
     oal.append_membership(gid_, group_, now);
     install_view(gid_, group_, now);
@@ -927,7 +917,11 @@ void TimewheelNode::send_decision(sim::ClockTime now) {
   oal.set_epoch(gid_);
   order_pending_proposals(oal, now);
   oal.purge_stable(group_, now, cfg_.deliver_delay, slots_.cycle_len());
+  emit_decision(std::move(oal), joiners, gid_, now);
+}
 
+void TimewheelNode::emit_decision(bcast::Oal oal, util::ProcessSet joiners,
+                                  GroupId adopt_epoch, sim::ClockTime now) {
   bcast::Decision d;
   d.gid = gid_;
   d.group = group_;
@@ -935,20 +929,19 @@ void TimewheelNode::send_decision(sim::ClockTime now) {
   d.decider = self();
   d.send_ts = std::max(now, round_.last_round() + 1);
   d.alive = fd_.alive_list(now);
-  d.joiners = joiner_set;
+  d.joiners = joiners;
   d.oal = std::move(oal);
 
   auto bytes = d.encode();
   last_control_sent_ = bytes;
   ep_.broadcast(std::move(bytes));
-  ++decisions_sent_;
   ++stats_.decisions_sent;
   ep_.trace(TraceKind::decision_sent, gid_, d.decision_no);
 
   // Self-adoption: the decider is also a member.
   round_.advance_round(d.send_ts);
   last_decider_ = self();
-  delivery_.adopt_oal(d.oal, gid_);
+  delivery_.adopt_oal(d.oal, adopt_epoch);
   run_delivery(now);
 
   // Relinquish the role; survey the successor.
@@ -956,11 +949,10 @@ void TimewheelNode::send_decision(sim::ClockTime now) {
   expected_decider_ = group_.successor_of(self());
   expect_next(expected_decider_, d.send_ts);
 
-  // State transfer to freshly integrated joiners (paper §4.2).
-  // State transfer to freshly integrated joiners — unless our own
-  // application state awaits a re-baseline (dirty or forked): a poisoned
-  // donation would propagate the losing branch into the joiner, whose
-  // solicitation retry walk reaches a clean member instead.
+  // State transfer to freshly integrated joiners (paper §4.2) — unless our
+  // own application state awaits a re-baseline (dirty or forked): a
+  // poisoned donation would propagate the losing branch into the joiner,
+  // whose solicitation retry walk reaches a clean member instead.
   if (!recovered_dirty_ && !awaiting_state_ && !lineage_forked_)
     for (ProcessId j : joiners) send_state_transfer(j, d.send_ts);
 }
@@ -1052,12 +1044,6 @@ void TimewheelNode::handle_rejoin_request(ProcessId from, RejoinRequest rq) {
 // Proposals
 // ---------------------------------------------------------------------------
 
-ProposalSeq TimewheelNode::propose(std::vector<std::byte> payload,
-                                   bcast::Order order,
-                                   bcast::Atomicity atomicity) {
-  return try_propose(std::move(payload), order, atomicity).seq;
-}
-
 ProposeResult TimewheelNode::try_propose(std::vector<std::byte> payload,
                                          bcast::Order order,
                                          bcast::Atomicity atomicity) {
@@ -1095,14 +1081,11 @@ ProposeResult TimewheelNode::try_propose(std::vector<std::byte> payload,
     delivery_.note_proposal(p, *now);
     ++stats_.proposals_sent;
     ep_.trace(TraceKind::proposal_sent, p.id.seq);
-    if (cfg_.max_batch > 1)
-      queue_for_batch(p.id);
-    else
-      ep_.broadcast(bcast::encode_proposal(p));
+    queue_for_batch(p);
     run_delivery(*now);
     if (i_am_decider_) {
       decision_pending_work_ = true;
-      schedule_decision(cfg_.proposal_batch_delay);
+      schedule_decision(kProposalBatchDelay);
     }
   } else {
     pending_proposals_.push_back(std::move(p));
@@ -1132,36 +1115,35 @@ void TimewheelNode::flush_pending_proposals(sim::ClockTime now) {
   ship_proposals(kNoProcess, batch);
 }
 
-void TimewheelNode::queue_for_batch(const bcast::ProposalId& id) {
-  batch_queue_.push_back(id);
-  if (static_cast<int>(batch_queue_.size()) >= cfg_.max_batch) {
-    flush_proposal_batch();
+void TimewheelNode::queue_for_batch(const bcast::Proposal& p) {
+  if (static_cast<int>(batch_queue_.size()) + 1 >= cfg_.max_batch) {
+    flush_proposal_batch(&p);
     return;
   }
+  batch_queue_.push_back(p.id);
   if (batch_timer_ == net::kNoTimer)
-    batch_timer_ = ep_.set_timer_after(cfg_.batch_flush_delay, [this] {
+    batch_timer_ = ep_.set_timer_after(kBatchFlushDelay, [this] {
       batch_timer_ = net::kNoTimer;
       flush_proposal_batch();
     });
 }
 
-void TimewheelNode::flush_proposal_batch() {
+void TimewheelNode::flush_proposal_batch(const bcast::Proposal* filler) {
   cancel_timer(batch_timer_);
-  if (batch_queue_.empty()) return;
-  std::vector<const bcast::Proposal*> batch;
-  batch.reserve(batch_queue_.size());
   for (const auto& id : batch_queue_)
     // A queued id can be gone if a view change purged the engine between
     // queueing and flushing; the proposal is then moot.
-    if (const bcast::Proposal* p = delivery_.get(id)) batch.push_back(p);
+    if (const bcast::Proposal* p = delivery_.get(id)) batch_out_.push_back(p);
   batch_queue_.clear();
-  ship_proposals(kNoProcess, batch);
+  if (filler != nullptr) batch_out_.push_back(filler);
+  ship_proposals(kNoProcess, batch_out_);
+  batch_out_.clear();  // keeps its capacity, holds no pointer past the flush
 }
 
 void TimewheelNode::ship_proposals(
-    ProcessId to, const std::vector<const bcast::Proposal*>& ps) {
-  const auto chunk =
-      static_cast<std::size_t>(cfg_.max_batch > 1 ? cfg_.max_batch : 1);
+    ProcessId to, std::span<const bcast::Proposal* const> ps) {
+  const auto chunk = static_cast<std::size_t>(
+      std::clamp(cfg_.max_batch, 1, bcast::kMaxProposalBatch));
   for (std::size_t i = 0; i < ps.size(); i += chunk) {
     const std::span<const bcast::Proposal* const> part(
         ps.data() + i, std::min(chunk, ps.size() - i));
@@ -1174,25 +1156,12 @@ void TimewheelNode::ship_proposals(
   }
 }
 
-void TimewheelNode::handle_proposal(ProcessId from, bcast::Proposal p) {
-  const auto now_opt = sync_now();
-  if (!now_opt) return;
-  if (p.id.proposer != from && delivery_.have(p.id))
-    return;  // relayed retransmission of something we hold
-  delivery_.note_proposal(p, *now_opt);
-  run_delivery(*now_opt);
-  if (i_am_decider_) {
-    decision_pending_work_ = true;
-    schedule_decision(cfg_.proposal_batch_delay);
-  }
-}
-
-void TimewheelNode::handle_proposal_batch(ProcessId from,
-                                          std::vector<bcast::Proposal> ps) {
+void TimewheelNode::handle_proposal_batch(
+    ProcessId from, std::span<const bcast::Proposal> ps) {
   const auto now_opt = sync_now();
   if (!now_opt) return;
   bool fresh = false;
-  for (auto& p : ps) {
+  for (const auto& p : ps) {
     if (p.id.proposer != from && delivery_.have(p.id))
       continue;  // relayed retransmission of something we hold
     delivery_.note_proposal(p, *now_opt);
@@ -1204,7 +1173,7 @@ void TimewheelNode::handle_proposal_batch(ProcessId from,
   run_delivery(*now_opt);
   if (i_am_decider_) {
     decision_pending_work_ = true;
-    schedule_decision(cfg_.proposal_batch_delay);
+    schedule_decision(kProposalBatchDelay);
   }
 }
 
@@ -1481,7 +1450,7 @@ GroupId TimewheelNode::next_gid(sim::ClockTime now) const {
 void TimewheelNode::create_group(util::ProcessSet members,
                                  util::ProcessSet departed,
                                  std::vector<bcast::ProposalId> extra_dpds,
-                                 const std::vector<ProcessId>& joiners,
+                                 util::ProcessSet joiners,
                                  sim::ClockTime now) {
   TW_ASSERT(members.contains(self()));
 
@@ -1598,40 +1567,10 @@ void TimewheelNode::create_group(util::ProcessSet members,
     }
   }
 
-  // Send the first decision of the new group.
+  // Send the first decision of the new group (its window already carries
+  // the new epoch, so the self-adoption passes no epoch of its own).
   order_pending_proposals(repaired.oal, now);
-  bcast::Decision d;
-  d.gid = gid_;
-  d.group = group_;
-  d.decision_no = ++last_decision_no_;
-  d.decider = self();
-  d.send_ts = std::max(now, round_.last_round() + 1);
-  d.alive = fd_.alive_list(now);
-  for (ProcessId j : joiners) d.joiners.insert(j);
-  d.oal = std::move(repaired.oal);
-
-  auto bytes = d.encode();
-  last_control_sent_ = bytes;
-  ep_.broadcast(std::move(bytes));
-  ++decisions_sent_;
-  ++stats_.decisions_sent;
-  ep_.trace(TraceKind::decision_sent, gid_, d.decision_no);
-
-  round_.advance_round(d.send_ts);
-  last_decider_ = self();
-  delivery_.adopt_oal(d.oal);
-  run_delivery(now);
-
-  i_am_decider_ = false;
-  expected_decider_ = group_.successor_of(self());
-  expect_next(expected_decider_, d.send_ts);
-
-  // State transfer to freshly integrated joiners — unless our own
-  // application state awaits a re-baseline (dirty or forked): a poisoned
-  // donation would propagate the losing branch into the joiner, whose
-  // solicitation retry walk reaches a clean member instead.
-  if (!recovered_dirty_ && !awaiting_state_ && !lineage_forked_)
-    for (ProcessId j : joiners) send_state_transfer(j, d.send_ts);
+  emit_decision(std::move(repaired.oal), joiners, /*adopt_epoch=*/0, now);
 }
 
 // ---------------------------------------------------------------------------
@@ -1834,7 +1773,7 @@ void TimewheelNode::join_slot_duties(sim::ClockTime now, std::int64_t slot) {
   // last slot.
   if (my_list.is_majority_of(n_)) {
     bool all_confirm = true;
-    std::vector<ProcessId> stale_joiners;
+    util::ProcessSet stale_joiners;
     for (ProcessId q : my_list) {
       if (q == self()) continue;
       const auto& info = join_infos_[q];
@@ -1849,7 +1788,7 @@ void TimewheelNode::join_slot_duties(sim::ClockTime now, std::int64_t slot) {
         break;
       }
       if (info.last_decision_ts < round_.last_round())
-        stale_joiners.push_back(q);
+        stale_joiners.insert(q);
     }
     if (all_confirm) {
       create_group(my_list, {}, {}, stale_joiners, now);
@@ -2009,20 +1948,24 @@ void TimewheelNode::retry_state_request() {
   ProcessId target = group_.successor_of(self());
   for (int i = 1; i < state_request_retries_; ++i)
     target = group_.successor_of(target);
-  if (target != kNoProcess && target != self()) {
+  request_state(target, state_request_retries_, *now);
+}
+
+void TimewheelNode::request_state(ProcessId donor, int attempt,
+                                  sim::ClockTime now) {
+  if (donor != kNoProcess && donor != self()) {
     if (auto* rec = ep_.obs())
       rec->emit(obs::EvKind::rejoin_retry, 0,
-                static_cast<std::uint64_t>(state_request_retries_), target);
+                static_cast<std::uint64_t>(attempt), donor);
     util::ByteWriter w;
     w.u8(net::kind_byte(net::MsgKind::state_request));
-    ep_.send(target, std::move(w).take());
+    ep_.send(donor, std::move(w).take());
   }
   // Exponential backoff with deterministic jitter: after a heal every
   // member of the losing side re-baselines at once, and a fixed cadence
   // would hammer the same donor in lockstep each cycle.
   arm_sync_timer(state_wait_timer_,
-                 *now + retry_backoff(state_request_retries_) +
-                     retry_jitter(state_request_retries_),
+                 now + retry_backoff(attempt) + retry_jitter(attempt),
                  [this] { retry_state_request(); });
 }
 
@@ -2048,19 +1991,10 @@ void TimewheelNode::begin_rebaseline(
   // pre-existing group.
   awaiting_state_ = true;
   state_request_retries_ = 0;
-  if (preferred_donor != kNoProcess && preferred_donor != self() &&
-      group_.contains(preferred_donor)) {
-    if (auto* rec = ep_.obs())
-      rec->emit(obs::EvKind::rejoin_retry, 0, 0, preferred_donor);
-    util::ByteWriter w;
-    w.u8(net::kind_byte(net::MsgKind::state_request));
-    ep_.send(preferred_donor, std::move(w).take());
-    arm_sync_timer(state_wait_timer_,
-                   now + retry_backoff(0) + retry_jitter(0),
-                   [this] { retry_state_request(); });
-  } else {
+  if (preferred_donor != self() && group_.contains(preferred_donor))
+    request_state(preferred_donor, 0, now);
+  else
     retry_state_request();
-  }
 }
 
 void TimewheelNode::note_forked_lineage(
@@ -2103,12 +2037,12 @@ sim::Duration TimewheelNode::retry_jitter(int attempt) const {
 std::size_t TimewheelNode::overload_hi_mark() const {
   const auto cap = static_cast<std::size_t>(cfg_.max_pending);
   return std::max<std::size_t>(
-      1, cap * static_cast<std::size_t>(cfg_.overload_hi_pct) / 100);
+      1, cap * static_cast<std::size_t>(kOverloadHiPct) / 100);
 }
 
 std::size_t TimewheelNode::overload_lo_mark() const {
   const auto cap = static_cast<std::size_t>(cfg_.max_pending);
-  return cap * static_cast<std::size_t>(cfg_.overload_lo_pct) / 100;
+  return cap * static_cast<std::size_t>(kOverloadLoPct) / 100;
 }
 
 void TimewheelNode::update_overload() {

@@ -3,7 +3,7 @@
 // engine, and the timewheel group membership protocol (failure detector +
 // group creator, paper §4). This is the library's public facade; bind one
 // node per team member to a net::Endpoint (simulated or UDP) and drive it
-// through propose()/callbacks.
+// through try_propose()/callbacks.
 #pragma once
 
 #include <deque>
@@ -11,6 +11,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "bcast/delivery.hpp"
@@ -74,7 +75,7 @@ struct NodeStats {
 };
 
 /// Degraded-mode ladder driven by admission-queue occupancy watermarks
-/// (NodeConfig::max_pending / overload_{hi,lo}_pct). Inactive (always
+/// (NodeConfig::max_pending / kOverload{Hi,Lo}Pct). Inactive (always
 /// `normal`) when max_pending == 0.
 enum class OverloadState : std::uint8_t {
   normal = 0,
@@ -111,18 +112,14 @@ class TimewheelNode final : public net::Handler {
   void on_datagram(ProcessId from, std::span<const std::byte> data) override;
 
   // Public API ---------------------------------------------------------
-  /// Broadcast an update with the given semantics. Returns the proposal's
-  /// sequence number. Proposals made before the node is a group member are
-  /// queued and sent on join.
-  ProposalSeq propose(std::vector<std::byte> payload,
-                      bcast::Order order = bcast::Order::total,
-                      bcast::Atomicity atomicity = bcast::Atomicity::weak);
-  /// Admission-controlled propose: refuses (rather than queues) when the
-  /// node holds cfg.max_pending own proposals in flight. Refusal happens
+  /// Broadcast an update with the given semantics; on acceptance the result
+  /// carries the proposal's sequence number. Proposals made before the node
+  /// is a group member are queued and sent on join. Admission control:
+  /// refuses (rather than queues) when the node holds cfg.max_pending own
+  /// proposals in flight, and never when max_pending == 0. Refusal happens
   /// BEFORE a sequence number is consumed, so it is invisible to FIFO /
   /// fifo_floor gap detection — see NodeConfig::max_pending for why
-  /// shedding after admission is not an option. propose() is this with the
-  /// refusal ignored (and identical to it when max_pending == 0).
+  /// shedding after admission is not an option.
   ProposeResult try_propose(
       std::vector<std::byte> payload, bcast::Order order = bcast::Order::total,
       bcast::Atomicity atomicity = bcast::Atomicity::weak);
@@ -139,7 +136,6 @@ class TimewheelNode final : public net::Handler {
   /// the decider role.
   [[nodiscard]] ProcessId believed_decider() const { return expected_decider_; }
   [[nodiscard]] bool has_decider_role() const { return i_am_decider_; }
-  [[nodiscard]] std::uint64_t decisions_sent() const { return decisions_sent_; }
   [[nodiscard]] std::uint64_t delivered_count() const {
     return delivery_.delivered_count();
   }
@@ -195,8 +191,9 @@ class TimewheelNode final : public net::Handler {
 
   // --- message handlers ----------------------------------------------------
   void handle_decision(ProcessId from, bcast::Decision d);
-  void handle_proposal(ProcessId from, bcast::Proposal p);
-  void handle_proposal_batch(ProcessId from, std::vector<bcast::Proposal> ps);
+  /// Every received proposal datagram; a plain `proposal` is a batch of one.
+  void handle_proposal_batch(ProcessId from,
+                             std::span<const bcast::Proposal> ps);
   void handle_no_decision(ProcessId from, NoDecision nd);
   void handle_join(ProcessId from, Join j);
   void handle_reconfiguration(ProcessId from, Reconfiguration r);
@@ -225,6 +222,9 @@ class TimewheelNode final : public net::Handler {
   void on_housekeeping();
 
   // --- join state --------------------------------------------------------
+  /// Switch to the join state with a fresh join dance; `drop_role` also
+  /// gives up the decider role, the suspicion and the FD surveillance.
+  void fall_back_to_join(bool drop_role);
   void join_slot_duties(sim::ClockTime now, std::int64_t slot);
   [[nodiscard]] util::ProcessSet current_join_list(std::int64_t slot) const;
   void send_join(sim::ClockTime now);
@@ -246,18 +246,24 @@ class TimewheelNode final : public net::Handler {
   [[nodiscard]] GroupId next_gid(sim::ClockTime now) const;
   void create_group(util::ProcessSet members, util::ProcessSet departed,
                     std::vector<bcast::ProposalId> extra_dpds,
-                    const std::vector<ProcessId>& joiners,
+                    util::ProcessSet joiners,
                     sim::ClockTime now);
 
   // --- decider duties ---------------------------------------------------
   void assume_decider_role(sim::ClockTime now);
   void schedule_decision(sim::Duration delay);
   void send_decision(sim::ClockTime now);
+  /// The send tail of every decision (routine round or a new group's
+  /// first): broadcast it, self-adopt its window (`adopt_epoch` as
+  /// adopt_oal's epoch argument), pass the role on and send the joiners
+  /// their state transfers.
+  void emit_decision(bcast::Oal oal, util::ProcessSet joiners,
+                     GroupId adopt_epoch, sim::ClockTime now);
   /// Order pending proposals into the oal (FIFO per sender).
   void order_pending_proposals(bcast::Oal& oal, sim::ClockTime now);
   /// Integrate a joiner if this decider is its successor and everyone has
   /// seen it (paper §4.2). Returns the joiners added.
-  std::vector<ProcessId> try_integrate_joiners(sim::ClockTime now);
+  util::ProcessSet try_integrate_joiners(sim::ClockTime now);
 
   // --- membership install / delivery ----------------------------------
   void install_view(GroupId gid, util::ProcessSet members,
@@ -268,6 +274,9 @@ class TimewheelNode final : public net::Handler {
   /// Hand a delivery to the application and persist the watermark.
   void hand_to_app(const bcast::Proposal& p, Ordinal ordinal);
   void retry_state_request();
+  /// Ask `donor` (when it is a peer) for a state transfer and arm the wait
+  /// for solicitation `attempt`.
+  void request_state(ProcessId donor, int attempt, sim::ClockTime now);
   /// React to a cross-epoch rebind reported by adopt_oal: our delivered
   /// history is a forked branch the installed epoch superseded. Buffer
   /// further deliveries and re-solicit a fresh baseline (state transfer)
@@ -300,15 +309,19 @@ class TimewheelNode final : public net::Handler {
   /// messages can't turn the resend into a repair storm.
   void resend_last_control(sim::ClockTime now);
 
-  // --- proposer-side batching (cfg_.max_batch > 1) ---------------------
-  /// Queue an own proposal for the next batch; flushes once the batch is
-  /// full, or after batch_flush_delay.
-  void queue_for_batch(const bcast::ProposalId& id);
-  void flush_proposal_batch();
-  /// Ship proposals in max_batch-sized datagrams; `to` == kNoProcess
-  /// broadcasts, anything else unicasts (retransmit answers).
+  // --- proposer-side batching -------------------------------------------
+  /// The one send path of an own proposal (already noted in the delivery
+  /// engine): queue it for the next batch; the proposal that fills the
+  /// batch ships it at once — at max_batch 1 that is every proposal, with
+  /// no timer and no lookup. A partial batch ships after kBatchFlushDelay.
+  void queue_for_batch(const bcast::Proposal& p);
+  /// Ship the queued proposals, then `filler` (nullptr: none).
+  void flush_proposal_batch(const bcast::Proposal* filler = nullptr);
+  /// Ship proposals in datagrams of at most max_batch (and at most
+  /// bcast::kMaxProposalBatch) proposals; `to` == kNoProcess broadcasts,
+  /// anything else unicasts (retransmit answers).
   void ship_proposals(ProcessId to,
-                      const std::vector<const bcast::Proposal*>& ps);
+                      std::span<const bcast::Proposal* const> ps);
 
   void trace_state_change(GcState from, GcState to);
 
@@ -348,7 +361,6 @@ class TimewheelNode final : public net::Handler {
   // Decider-role tracking.
   bool i_am_decider_ = false;
   ProcessId expected_decider_ = kNoProcess;
-  std::uint64_t decisions_sent_ = 0;
   /// Pending proposals exist (send decision promptly).
   bool decision_pending_work_ = false;
 
@@ -361,6 +373,8 @@ class TimewheelNode final : public net::Handler {
   /// Own proposals noted in the delivery engine but not yet on the wire,
   /// awaiting a full batch or the flush timer (empty when max_batch <= 1).
   std::vector<bcast::ProposalId> batch_queue_;
+  /// flush_proposal_batch's datagram list, kept so a flush allocates nothing.
+  std::vector<const bcast::Proposal*> batch_out_;
 
   // Last control message we broadcast (for wrong-suspicion resends).
   std::vector<std::byte> last_control_sent_;
@@ -438,7 +452,7 @@ class TimewheelNode final : public net::Handler {
   /// Consecutive unanswered rejoin solicitations (drives the backoff).
   int rejoin_attempts_ = 0;
 
-  // Watchdog for the join fallback (see NodeConfig::join_fallback_cycles).
+  // Watchdog for the join fallback (see kJoinFallbackCycles).
   sim::ClockTime n_failure_since_ = -1;
 
   bool ever_started_ = false;

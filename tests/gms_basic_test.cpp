@@ -51,7 +51,7 @@ TEST(GmsBasic, DeciderRotatesThroughAllMembers) {
   h.run_for(sim::sec(5));
   // Every member must have sent decisions (rotation distributes the load).
   for (ProcessId p = 0; p < 5; ++p)
-    EXPECT_GT(h.node(p).decisions_sent(), 5u) << "p" << p;
+    EXPECT_GT(h.node(p).stats().decisions_sent, 5u) << "p" << p;
   EXPECT_TRUE(h.check_all_invariants().empty());
 }
 

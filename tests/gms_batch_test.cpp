@@ -7,6 +7,7 @@
 
 #include <vector>
 
+#include "bcast/messages.hpp"
 #include "gms/sim_harness.hpp"
 #include "net/msg_kind.hpp"
 #include "torture/engine.hpp"
@@ -66,6 +67,22 @@ TEST(GmsBatch, PartialBatchFlushesOnTimer) {
     ASSERT_EQ(h.delivered(p).size(), 1u) << "p" << p;
     EXPECT_EQ(SimHarness::payload_tag(h.delivered(p)[0].payload), 42u);
   }
+  EXPECT_TRUE(h.check_all_invariants().empty());
+}
+
+TEST(GmsBatch, BatchAboveTheDecoderLimitShipsInChunks) {
+  // max_batch above the decoder's limit: the flush must split the queue
+  // into datagrams the receivers accept, or every member but the proposer
+  // drops the whole batch (and its rebroadcasts and retransmit answers,
+  // chunked the same way) forever.
+  SimHarness h(batch_cfg(3, 5, 5000));
+  h.start();
+  ASSERT_TRUE(h.run_until_group(util::ProcessSet::full(3), sim::sec(10)));
+  const std::size_t count = bcast::kMaxProposalBatch + 104;
+  for (std::uint64_t i = 0; i < count; ++i) h.propose(0, i);
+  h.run_for(sim::sec(10));
+  for (ProcessId p = 0; p < 3; ++p)
+    EXPECT_EQ(h.delivered(p).size(), count) << "p" << p;
   EXPECT_TRUE(h.check_all_invariants().empty());
 }
 

@@ -357,7 +357,7 @@ TeamStallRun run_team_stalls(std::uint64_t seed, sim::Duration stall,
     if (t >= t0 + load) break;
     h.run_until(t);
     const auto proposer = static_cast<ProcessId>(k % kN);
-    const ProposeResult r = h.try_propose(proposer, k);
+    const ProposeResult r = h.propose(proposer, k);
     if (!r.accepted) continue;
     accepted[proposer].push_back(r.seq);
     ++run.accepted;

@@ -46,14 +46,14 @@ TEST(GmsOverload, AdmissionRefusesAtCapWithRetryHint) {
   // Fill the admission queue without letting the simulator drain it: every
   // accept carries a fresh sequence number; refusal must consume none.
   for (std::uint64_t i = 1; i <= 8; ++i) {
-    const ProposeResult r = h.try_propose(0, i);
+    const ProposeResult r = h.propose(0, i);
     EXPECT_TRUE(r.accepted) << "proposal " << i << " refused below the cap";
     EXPECT_EQ(r.retry_after_us, 0u);
   }
   EXPECT_EQ(h.node(0).occupancy(), 8u);
   EXPECT_EQ(h.node(0).overload_state(), OverloadState::shedding);
 
-  const ProposeResult refused = h.try_propose(0, 99);
+  const ProposeResult refused = h.propose(0, 99);
   EXPECT_FALSE(refused.accepted);
   EXPECT_GT(refused.retry_after_us, 0u);
   EXPECT_LT(refused.retry_after_us, 1'000'000u);  // ~a cycle, not forever
@@ -63,11 +63,11 @@ TEST(GmsOverload, AdmissionRefusesAtCapWithRetryHint) {
   // Honor the hint: wait it out, then retry (with a fresh tag) until the
   // pipeline drained. The hint is advisory, so allow a few rounds.
   h.run_for(static_cast<sim::Duration>(refused.retry_after_us));
-  ProposeResult retry = h.try_propose(0, 100);
+  ProposeResult retry = h.propose(0, 100);
   const sim::SimTime deadline = h.now() + sim::sec(10);
   while (!retry.accepted && h.now() < deadline) {
     h.run_for(sim::msec(50));
-    retry = h.try_propose(0, 100);
+    retry = h.propose(0, 100);
   }
   ASSERT_TRUE(retry.accepted) << "queue never drained after refusal";
 
@@ -98,13 +98,13 @@ TEST(GmsOverload, WatermarkLadderHasHysteresisAndTraceEvents) {
   h.start();
   ASSERT_TRUE(h.run_until_group(util::ProcessSet::full(3), sim::sec(20)));
 
-  for (std::uint64_t i = 1; i <= 5; ++i) (void)h.try_propose(0, i);
+  for (std::uint64_t i = 1; i <= 5; ++i) (void)h.propose(0, i);
   EXPECT_EQ(h.node(0).overload_state(), OverloadState::normal);
-  (void)h.try_propose(0, 6);  // occupancy reaches the hi mark
+  (void)h.propose(0, 6);  // occupancy reaches the hi mark
   EXPECT_EQ(h.node(0).overload_state(), OverloadState::backpressured);
-  (void)h.try_propose(0, 7);
+  (void)h.propose(0, 7);
   EXPECT_EQ(h.node(0).overload_state(), OverloadState::backpressured);
-  (void)h.try_propose(0, 8);  // occupancy reaches the cap
+  (void)h.propose(0, 8);  // occupancy reaches the cap
   EXPECT_EQ(h.node(0).overload_state(), OverloadState::shedding);
   EXPECT_EQ(h.node(0).stats().overload_enters, 2u);
 
@@ -136,7 +136,7 @@ TEST(GmsOverload, UnboundedNodeNeverRefuses) {
   // the overload ladder never leaves normal.
   SimHarness h(small_team(3, 9, /*max_pending=*/0));
   for (std::uint64_t i = 0; i < 100; ++i) {
-    const ProposeResult r = h.try_propose(0, i);
+    const ProposeResult r = h.propose(0, i);
     EXPECT_TRUE(r.accepted);
   }
   EXPECT_EQ(h.node(0).overload_state(), OverloadState::normal);

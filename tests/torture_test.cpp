@@ -55,6 +55,38 @@ TEST(TortureSmoke, DifferentSeedsDiverge) {
             engine.run_seed(4).report.trace_digest);
 }
 
+// Behaviour identity, machine-checked: the trace digests of seeds 1-16 of
+// `torture_main --seeds 16 --max-batch B --digest-only` (the CLI's default
+// config: 15 s fault window) for B = 1 and 4. A refactor must leave every
+// digest unchanged; a change that alters protocol behaviour on purpose
+// re-pins this table and says why.
+TEST(TortureSmoke, PinnedDigestsAtMaxBatch1And4) {
+  const std::uint64_t pinned[2][16] = {
+      {0xd0051638b2837f43, 0xe1a92891abff742f, 0x41008a2e2fa5309c,
+       0xeee93934df70493f, 0xbf7a44559b724475, 0x68d61beab20cc791,
+       0xb653e9831ada40dd, 0x8aeddacd82997640, 0xa352116d39c7be05,
+       0xc73d61c7977c3c48, 0xe4bce6a85dfeb421, 0xc4fc5295beaf4d61,
+       0xf563be10e570b4fd, 0x340e81636eabdf71, 0x29d456acccc0f3fb,
+       0x5f21bac6c7974c52},
+      {0x492a25becfc27c30, 0x1654640a7d3d1cd6, 0xb6a92c10cba1af60,
+       0xec8501ba207e40f5, 0xbf3036c14cff1548, 0x731339ddc52aa56b,
+       0x18a073f3fda55fc0, 0xf2b756ee8830fa5e, 0x0e9c1d568bd3f564,
+       0x7ad3c5b81ae855c0, 0x67b73e77f740cb9f, 0xd0b2f743e2d0c506,
+       0x7eeb0cdffbb7fdcf, 0xfadc7d84358fc08c, 0xfda8b6bfe99e82a7,
+       0x649e723323a02802}};
+  const int max_batch[2] = {1, 4};
+  for (int b = 0; b < 2; ++b) {
+    TortureConfig cfg;
+    cfg.fault_end = cfg.fault_start + sim::sec(15);
+    cfg.max_batch = max_batch[b];
+    const TortureEngine engine(cfg);
+    for (std::uint64_t seed = 1; seed <= 16; ++seed)
+      EXPECT_EQ(engine.run_seed(seed).report.trace_digest,
+                pinned[b][seed - 1])
+          << "seed " << seed << " --max-batch " << max_batch[b];
+  }
+}
+
 TEST(TorturePlan, SerializationRoundTrip) {
   const FaultPlan plan = generate_plan(smoke_config(), 42);
   ASSERT_FALSE(plan.ops.empty());
