@@ -1,6 +1,7 @@
 #include "bcast/delivery.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "util/assert.hpp"
 #include "util/logging.hpp"
@@ -180,6 +181,14 @@ DeliveryEngine::AdoptOutcome DeliveryEngine::adopt_oal(const Oal& oal,
   // instead of carrying both branches forward. (occupancy_guard_ is the
   // model-checking mutation switch: with the guard off, the stale binding
   // survives and the fork goes unrepaired — torture --explore must find it.)
+  //
+  // A released binding was never ordered in the winning history, so it
+  // must not count as ordered here either: the proposer's ordered
+  // watermark falls back below the lowest released sequence (no lower than
+  // what the window itself binds). Otherwise the watermark forfeits the
+  // update: no decider may order it afresh, and the proposer's later
+  // updates are ordered past it.
+  std::map<ProcessId, ProposalSeq> released_below;
   for (auto& [pid, s] : slots_) {
     if (!occupancy_guard_) break;
     if (s.ordinal == kNoOrdinal) continue;
@@ -199,6 +208,20 @@ DeliveryEngine::AdoptOutcome DeliveryEngine::adopt_oal(const Oal& oal,
     }
     s.ordinal = kNoOrdinal;
     s.bind_epoch = 0;
+    released_below.try_emplace(pid.proposer, pid.seq);  // map order: lowest
+  }
+  for (const auto& [proposer, seq] : released_below) {
+    const auto mit = max_ordered_seq_.find(proposer);
+    if (mit == max_ordered_seq_.end() || mit->second < seq) continue;
+    std::optional<ProposalSeq> floor;
+    if (seq > 0) floor = seq - 1;
+    for (const auto& e : adopted_.entries())
+      if (e.kind == OalEntry::Kind::update && e.pid.proposer == proposer)
+        floor = std::max(floor.value_or(e.pid.seq), e.pid.seq);
+    if (floor)
+      mit->second = *floor;
+    else
+      max_ordered_seq_.erase(mit);  // no ordered history left
   }
   // The stream may never have to wait for ordinals that were purged as
   // stable before we saw them... but stability implies we acknowledged
@@ -292,6 +315,16 @@ std::vector<ProposalId> DeliveryEngine::missing() const {
   return out;
 }
 
+bool DeliveryEngine::has_missing() const {
+  return std::any_of(
+      adopted_.entries().begin(), adopted_.entries().end(),
+      [this](const OalEntry& e) {
+        if (e.kind != OalEntry::Kind::update || e.undeliverable) return false;
+        const auto it = slots_.find(e.pid);
+        return it == slots_.end() || !it->second.have;
+      });
+}
+
 void DeliveryEngine::mark_suspect_sender(ProcessId q, sim::ClockTime expiry) {
   auto [it, inserted] = suspect_marks_.try_emplace(q, expiry);
   if (!inserted) it->second = std::max(it->second, expiry);
@@ -324,10 +357,12 @@ bool DeliveryEngine::restamp_unordered(ProposalId pid, sim::ClockTime now) {
   return true;
 }
 
-std::vector<const Proposal*> DeliveryEngine::unordered_proposals(
-    util::ProcessSet proposers, sim::ClockTime sync_now,
-    sim::Duration gap_grace, sim::Duration max_age) const {
-  std::vector<const Proposal*> out;
+template <typename Visit>
+void DeliveryEngine::for_each_unordered(util::ProcessSet proposers,
+                                        sim::ClockTime sync_now,
+                                        sim::Duration gap_grace,
+                                        sim::Duration max_age,
+                                        Visit&& visit) const {
   // std::map iteration is (proposer, seq)-sorted: FIFO per sender.
   ProcessId cur_proposer = kNoProcess;
   ProposalSeq expected = 0;
@@ -383,11 +418,35 @@ std::vector<const Proposal*> DeliveryEngine::unordered_proposals(
       proposer_blocked = true;
       continue;
     }
-    out.push_back(&s.proposal);
+    if (!visit(s.proposal)) return;
     expected = pid.seq + 1;
     has_history = true;
   }
+}
+
+std::vector<const Proposal*> DeliveryEngine::unordered_proposals(
+    util::ProcessSet proposers, sim::ClockTime sync_now,
+    sim::Duration gap_grace, sim::Duration max_age) const {
+  std::vector<const Proposal*> out;
+  for_each_unordered(proposers, sync_now, gap_grace, max_age,
+                     [&out](const Proposal& p) {
+                       out.push_back(&p);
+                       return true;
+                     });
   return out;
+}
+
+bool DeliveryEngine::has_unordered_proposals(util::ProcessSet proposers,
+                                             sim::ClockTime sync_now,
+                                             sim::Duration gap_grace,
+                                             sim::Duration max_age) const {
+  bool found = false;
+  for_each_unordered(proposers, sync_now, gap_grace, max_age,
+                     [&found](const Proposal&) {
+                       found = true;
+                       return false;
+                     });
+  return found;
 }
 
 ProposalSeq DeliveryEngine::max_ordered_seq(ProcessId proposer) const {

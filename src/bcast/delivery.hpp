@@ -99,6 +99,8 @@ class DeliveryEngine {
   /// Proposals listed in the adopted oal whose payload we lack (and that
   /// are not undeliverable) — candidates for retransmission requests.
   [[nodiscard]] std::vector<ProposalId> missing() const;
+  /// Whether missing() would list anything, without building the list.
+  [[nodiscard]] bool has_missing() const;
 
   // --- undeliverable marks (paper §4.3) ---------------------------------
   /// Mark every proposal from `q` that we have NOT yet received as locally
@@ -126,6 +128,12 @@ class DeliveryEngine {
   [[nodiscard]] std::vector<const Proposal*> unordered_proposals(
       util::ProcessSet proposers, sim::ClockTime sync_now,
       sim::Duration gap_grace, sim::Duration max_age) const;
+  /// Whether unordered_proposals would return anything, without building
+  /// the list: the "work to order" test a decider makes on taking the role.
+  [[nodiscard]] bool has_unordered_proposals(util::ProcessSet proposers,
+                                             sim::ClockTime sync_now,
+                                             sim::Duration gap_grace,
+                                             sim::Duration max_age) const;
 
   /// Proposer-side: refresh the send timestamp of own unordered proposal
   /// `pid` to `now` (called right before re-broadcasting it), so deciders
@@ -203,6 +211,12 @@ class DeliveryEngine {
   /// neither feed dpd reports (which would mint a second ordinal at the
   /// next repair) nor ever be delivered again.
   void retire_covered_delivered();
+  /// Visit what unordered_proposals returns, in its order, until `visit`
+  /// returns false.
+  template <typename Visit>
+  void for_each_unordered(util::ProcessSet proposers, sim::ClockTime sync_now,
+                          sim::Duration gap_grace, sim::Duration max_age,
+                          Visit&& visit) const;
   /// Deliver early-path (weak+unordered) proposals.
   int deliver_immediate(sim::ClockTime sync_now);
   /// Advance the ordinal stream.

@@ -116,6 +116,12 @@ void EventLoop::post(std::function<void()> fn) {
 
 void EventLoop::drain_wakeup() {
   std::uint64_t buf[8];
+  // One read resets an eventfd's counter; a pipe holds a byte per post
+  // and is read until empty.
+  if (wake_rd_ == wake_wr_) {
+    [[maybe_unused]] const ssize_t n = ::read(wake_rd_, buf, sizeof(buf[0]));
+    return;
+  }
   while (::read(wake_rd_, buf, sizeof(buf)) > 0) {
   }
 }
@@ -190,8 +196,8 @@ int EventLoop::poll_once(sim::Duration max_wait_us) {
   wait_us = std::min<std::int64_t>(
       wait_us, std::int64_t{kMaxPollTimeoutMs} * 1000);
 
-  std::vector<pollfd> fds;
-  fds.reserve(fd_handlers_.size() + 1);
+  std::vector<pollfd>& fds = pollfds_;
+  fds.clear();
   if (wake_rd_ >= 0) fds.push_back(pollfd{wake_rd_, POLLIN, 0});
   for (const auto& [fd, handler] : fd_handlers_)
     fds.push_back(pollfd{fd, POLLIN, 0});

@@ -23,6 +23,8 @@
 // poll timeout.
 #pragma once
 
+#include <poll.h>
+
 #include <cstdint>
 #include <functional>
 #include <mutex>
@@ -101,6 +103,9 @@ class EventLoop {
 
   TimerWheel timers_;  // keyed on monotonic µs
   std::unordered_map<int, std::function<void()>> fd_handlers_;
+  /// poll_once's poll set, rebuilt each pass in place (no allocation once
+  /// its capacity covers the watched descriptors).
+  std::vector<pollfd> pollfds_;
   bool stopped_ = false;
 
   std::mutex posted_mu_;

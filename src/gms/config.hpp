@@ -17,8 +17,12 @@ namespace tw::gms {
 enum class DetectorKind : std::uint8_t { fixed = 0, adaptive = 1 };
 
 /// Protocol constants no deployment tunes; DESIGN.md §3g derives each.
-/// A decider holding fresh proposals sends its decision this long after the
-/// last one arrived instead of waiting out the decision delay.
+/// A decider arms one decision deadline per turn and only ever moves it
+/// earlier: this long after taking the role when unordered work is already
+/// waiting, else after the decision delay; a fresh proposal during the turn
+/// pulls the deadline in to this long after its arrival, never later. The
+/// decision therefore goes out at most the decision delay (≤ D) after the
+/// role was taken, however steadily proposals arrive.
 inline constexpr sim::Duration kProposalBatchDelay = sim::msec(2);
 /// Longest wait of a half-filled own batch (NodeConfig::max_batch > 1):
 /// half the decision batching delay, so a decider's own batch reaches the

@@ -125,7 +125,6 @@ void TimewheelNode::full_reset() {
   last_decider_ = kNoProcess;
   i_am_decider_ = false;
   expected_decider_ = kNoProcess;
-  decision_pending_work_ = false;
   pending_proposals_.clear();
   batch_queue_.clear();
   last_control_sent_.clear();
@@ -827,14 +826,19 @@ void TimewheelNode::fall_back_to_join(bool drop_role) {
 }
 
 void TimewheelNode::assume_decider_role(sim::ClockTime now) {
-  (void)now;
   if (i_am_decider_) return;
   i_am_decider_ = true;
   fd_.clear_expectation();
   cancel_timer(fd_timer_);
   ep_.trace(TraceKind::decider_assumed, gid_, last_decision_no_ + 1);
+  // Work already waiting on this turn (proposals that reached us before
+  // the role did, or oal entries whose payload we still lack) makes the
+  // decision prompt; an idle turn waits out the decision delay.
   const bool prompt =
-      decision_pending_work_ || !delivery_.missing().empty();
+      delivery_.has_missing() ||
+      delivery_.has_unordered_proposals(group_, now,
+                                        /*gap_grace=*/slots_.cycle_len(),
+                                        /*max_age=*/slots_.cycle_len());
   schedule_decision(prompt ? kProposalBatchDelay
                            : cfg_.effective_decision_delay());
 }
@@ -842,7 +846,13 @@ void TimewheelNode::assume_decider_role(sim::ClockTime now) {
 void TimewheelNode::schedule_decision(sim::Duration delay) {
   const auto now = sync_now();
   if (!now) return;
-  arm_sync_timer(decision_timer_, *now + delay, [this] {
+  // One deadline per turn, only ever moved earlier: fresh proposals never
+  // postpone a decision, so it goes out at most the decision delay after
+  // the role was taken.
+  const sim::ClockTime due = *now + delay;
+  if (decision_timer_ != net::kNoTimer && decision_due_ <= due) return;
+  decision_due_ = due;
+  arm_sync_timer(decision_timer_, due, [this] {
     const auto t = sync_now();
     if (t) send_decision(*t);
   });
@@ -893,7 +903,6 @@ util::ProcessSet TimewheelNode::try_integrate_joiners(sim::ClockTime now) {
 
 void TimewheelNode::send_decision(sim::ClockTime now) {
   if (!i_am_decider_ || !in_group()) return;
-  decision_pending_work_ = false;
   // A decider's own half-filled batch must reach the team no later than
   // the decision that orders it, or members would see oal entries for
   // proposals they hold no payload for and turn to retransmits.
@@ -1083,10 +1092,7 @@ ProposeResult TimewheelNode::try_propose(std::vector<std::byte> payload,
     ep_.trace(TraceKind::proposal_sent, p.id.seq);
     queue_for_batch(p);
     run_delivery(*now);
-    if (i_am_decider_) {
-      decision_pending_work_ = true;
-      schedule_decision(kProposalBatchDelay);
-    }
+    if (i_am_decider_) schedule_decision(kProposalBatchDelay);
   } else {
     pending_proposals_.push_back(std::move(p));
   }
@@ -1171,10 +1177,7 @@ void TimewheelNode::handle_proposal_batch(
   // One delivery pass and (if decider) one decision schedule for the whole
   // batch — this is where the receive-side amortization happens.
   run_delivery(*now_opt);
-  if (i_am_decider_) {
-    decision_pending_work_ = true;
-    schedule_decision(kProposalBatchDelay);
-  }
+  if (i_am_decider_) schedule_decision(kProposalBatchDelay);
 }
 
 void TimewheelNode::handle_retransmit_request(ProcessId from,
@@ -1846,12 +1849,22 @@ void TimewheelNode::handle_state_transfer(ProcessId from, StateTransfer st) {
     // nevertheless be ordered below the transferrer's cursor — i.e. it is
     // already part of the transferred state. The per-proposer ordered
     // marks cover exactly that case.
-    for (const auto& [proposer, seq] : st.marks.ordered_below)
-      if (proposer == p.id.proposer && p.id.seq <= seq) return true;
+    if (ordinal == kNoOrdinal)
+      for (const auto& [proposer, seq] : st.marks.ordered_below)
+        if (proposer == p.id.proposer && p.id.seq <= seq) return true;
     return false;
   });
   for (const auto& p : st.proposals) delivery_.note_proposal(p, now);
+  // The donor's window is as old as the transfer: decisions of the same
+  // epoch may have reached us since. Adopting it alone would roll our
+  // window back, and a decider holding the rolled-back window orders fresh
+  // proposals at ordinals already decided — so a fresher window of ours
+  // is adopted again on top of it.
+  const bcast::Oal mine = delivery_.adopted();
   delivery_.adopt_oal(st.oal, st.gid);
+  if (mine.epoch() == st.oal.epoch() &&
+      mine.next_ordinal() > st.oal.next_ordinal())
+    delivery_.adopt_oal(mine, mine.epoch());
   if (awaiting_state_ || recovered_dirty_ || lineage_forked_) {
     const bool was_dirty = recovered_dirty_;
     const bool was_forked = lineage_forked_;

@@ -361,8 +361,8 @@ class TimewheelNode final : public net::Handler {
   // Decider-role tracking.
   bool i_am_decider_ = false;
   ProcessId expected_decider_ = kNoProcess;
-  /// Pending proposals exist (send decision promptly).
-  bool decision_pending_work_ = false;
+  /// The armed decision timer's deadline (meaningful while it is armed).
+  sim::ClockTime decision_due_ = 0;
 
   // Own proposals.
   ProposalSeq next_seq_ = 0;

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iostream>
 #include <map>
 #include <set>
 
@@ -406,6 +407,56 @@ TEST(GmsFailure, TeamStallPastDetectionGapsOnlyWhereATransferCovers) {
   EXPECT_TRUE(run.lineage_gaps.empty()) << run.lineage_gaps.front();
   EXPECT_TRUE(run.violations.empty()) << run.violations.front();
 }
+
+// Ratchet on whole-team stalls past the detection timeout, which forfeited
+// accepted updates from the majority lineage (ROADMAP "Lineage
+// integrity"). Each bound is the total of lineage gaps over a block of
+// seeds with a 20-s load, measured before the two heal fixes of DESIGN.md
+// §3c; the code now reads 0 in every block. A change may lower a bound,
+// never raise it, and no run may break a majority-agreement check.
+struct StallRatchet {
+  std::int64_t stall_ms;
+  std::uint64_t first_seed;
+  std::uint64_t last_seed;
+  std::size_t max_lineage_gaps;
+};
+
+class TeamStallRatchet : public ::testing::TestWithParam<StallRatchet> {};
+
+TEST_P(TeamStallRatchet, LineageGapsStayAtOrBelowTheBoundWithNoViolation) {
+  const StallRatchet r = GetParam();
+  std::size_t gaps = 0;
+  std::string first;
+  for (std::uint64_t seed = r.first_seed; seed <= r.last_seed; ++seed) {
+    const TeamStallRun run =
+        run_team_stalls(seed, sim::msec(r.stall_ms), sim::sec(20));
+    if (first.empty() && !run.lineage_gaps.empty())
+      first = "seed " + std::to_string(seed) + ": " + run.lineage_gaps.front();
+    gaps += run.lineage_gaps.size();
+    EXPECT_TRUE(run.violations.empty())
+        << "seed " << seed << ": " << run.violations.front();
+  }
+  std::cout << "stall " << r.stall_ms << " ms: " << gaps
+            << " lineage gaps over seeds " << r.first_seed << "-"
+            << r.last_seed << "\n";
+  EXPECT_LE(gaps, r.max_lineage_gaps) << "first: " << first;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    StallMs, TeamStallRatchet,
+    ::testing::Values(
+        StallRatchet{60, 1, 20, 24}, StallRatchet{60, 21, 40, 3},
+        StallRatchet{60, 41, 60, 0}, StallRatchet{80, 1, 20, 20},
+        StallRatchet{80, 21, 40, 24}, StallRatchet{80, 41, 60, 21},
+        StallRatchet{100, 1, 20, 48}, StallRatchet{100, 21, 40, 44},
+        StallRatchet{100, 41, 60, 42}, StallRatchet{250, 1, 20, 116},
+        StallRatchet{250, 21, 40, 67}, StallRatchet{250, 41, 60, 84}),
+    [](const ::testing::TestParamInfo<StallRatchet>& info) {
+      const StallRatchet& r = info.param;
+      return "stall" + std::to_string(r.stall_ms) + "ms_seeds" +
+             std::to_string(r.first_seed) + "to" +
+             std::to_string(r.last_seed);
+    });
 
 }  // namespace
 }  // namespace tw::gms

@@ -4,6 +4,8 @@
 // team must converge back to a stable group.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
 #include <tuple>
 
 #include "gms/sim_harness.hpp"
@@ -11,8 +13,12 @@
 namespace tw::gms {
 namespace {
 
+// gtest lists each case with the raw bytes of its parameter, so the struct
+// has no implicit padding: the pad fields are zero, and the listed name is
+// the same in every build.
 struct ChaosParams {
   int n;
+  std::int32_t pad0 = 0;
   std::uint64_t seed;
   double loss;
   double late;
@@ -25,7 +31,9 @@ struct ChaosParams {
   /// only keeps a majority *up*; recovered processes are amnesiac, so the
   /// knowledge-holder majority can be lost — outside the paper's model.
   bool respect_assumption;
+  std::array<std::uint8_t, 6> pad1{};
 };
+static_assert(sizeof(ChaosParams) == 40, "ChaosParams must have no padding");
 
 class GmsChaos : public ::testing::TestWithParam<ChaosParams> {};
 
@@ -155,11 +163,15 @@ std::vector<ChaosParams> chaos_matrix() {
   for (int n : {3, 5, 7}) {
     for (std::uint64_t seed = 1; seed <= 8; ++seed) {
       // Within the paper's failure assumption: full §3 checks.
-      out.push_back({n, seed, 0.0, 0.0, true, true});
-      out.push_back({n, seed + 100, 0.02, 0.01, true, true});
-      out.push_back({n, seed + 200, 0.05, 0.02, false, true});
+      out.push_back({.n = n, .seed = seed, .loss = 0.0, .late = 0.0,
+                     .churn = true, .respect_assumption = true});
+      out.push_back({.n = n, .seed = seed + 100, .loss = 0.02, .late = 0.01,
+                     .churn = true, .respect_assumption = true});
+      out.push_back({.n = n, .seed = seed + 200, .loss = 0.05, .late = 0.02,
+                     .churn = false, .respect_assumption = true});
       // Beyond the assumption: graceful degradation checks.
-      out.push_back({n, seed + 300, 0.02, 0.01, true, false});
+      out.push_back({.n = n, .seed = seed + 300, .loss = 0.02, .late = 0.01,
+                     .churn = true, .respect_assumption = false});
     }
   }
   return out;

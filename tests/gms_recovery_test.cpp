@@ -87,7 +87,9 @@ TEST(GmsRecovery, ZombieIsRehabilitatedBySolicitedStateTransfer) {
   // Crash + recover FASTER than failure detection: the group never excludes
   // the process, so no join integration (and its state transfer) ever
   // happens. The recovered process must solicit its own re-baselining.
-  SimHarness h(cfg_n(5, 22));
+  // (On seed 22 the blinked process is re-baselined by a transfer it never
+  // asked for, so that seed does not exercise the solicitation.)
+  SimHarness h(cfg_n(5, 23));
   form_group(h);
   for (std::uint64_t i = 0; i < 5; ++i) {
     h.propose(static_cast<ProcessId>(i % 5), 300 + i, bcast::Order::total);

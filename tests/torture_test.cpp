@@ -62,18 +62,18 @@ TEST(TortureSmoke, DifferentSeedsDiverge) {
 // re-pins this table and says why.
 TEST(TortureSmoke, PinnedDigestsAtMaxBatch1And4) {
   const std::uint64_t pinned[2][16] = {
-      {0xd0051638b2837f43, 0xe1a92891abff742f, 0x41008a2e2fa5309c,
-       0xeee93934df70493f, 0xbf7a44559b724475, 0x68d61beab20cc791,
-       0xb653e9831ada40dd, 0x8aeddacd82997640, 0xa352116d39c7be05,
-       0xc73d61c7977c3c48, 0xe4bce6a85dfeb421, 0xc4fc5295beaf4d61,
-       0xf563be10e570b4fd, 0x340e81636eabdf71, 0x29d456acccc0f3fb,
-       0x5f21bac6c7974c52},
-      {0x492a25becfc27c30, 0x1654640a7d3d1cd6, 0xb6a92c10cba1af60,
-       0xec8501ba207e40f5, 0xbf3036c14cff1548, 0x731339ddc52aa56b,
-       0x18a073f3fda55fc0, 0xf2b756ee8830fa5e, 0x0e9c1d568bd3f564,
-       0x7ad3c5b81ae855c0, 0x67b73e77f740cb9f, 0xd0b2f743e2d0c506,
-       0x7eeb0cdffbb7fdcf, 0xfadc7d84358fc08c, 0xfda8b6bfe99e82a7,
-       0x649e723323a02802}};
+      {0x6f4f2d2693b9c7d1, 0x8c550b9bee95f77c, 0x45df7d5c0b93844b,
+       0xa541e6875fd8c7dd, 0xed161cb8febd87f8, 0x05faa4c10ab14461,
+       0xfb4a1e8083f9e800, 0x567ca773bd890dfa, 0x90b593ca0308df56,
+       0x403a673617ef79c2, 0x5fcb731e911b2099, 0x7bfc84cac5f474c5,
+       0x9e8d3a65860174e1, 0xff8984ba9d10c853, 0xfcfac61521002ae3,
+       0x4859c881d5764be6},
+      {0x831b045ee5aa7074, 0x65b9ec516e2f6baa, 0xaecb739965748c85,
+       0x26f0527624342d99, 0x8a592baab8cc65ea, 0xd2bfc070424b0a3a,
+       0x7c87aa6bfda112b3, 0x36c34512ab29c88b, 0x947665952e229848,
+       0x6f9fb52173aad3c5, 0xcda619255a51a38b, 0xf40b5f34bda49113,
+       0x355c45c0c22d6d94, 0x8ccab32259709e51, 0xf4f68db0aa55322f,
+       0x1a3a942107d81cee}};
   const int max_batch[2] = {1, 4};
   for (int b = 0; b < 2; ++b) {
     TortureConfig cfg;
